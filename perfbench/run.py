@@ -15,8 +15,7 @@ import subprocess
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-WORKLOADS = ("detect_learning", "probe_sharded", "served_feedback",
-             "session_churn")
+WORKLOADS = ("detect_learning", "session_churn")
 
 
 def build(build_dir):

@@ -4,6 +4,9 @@
 //   spot_perfbench --workload NAME --seed N --seconds S --trace 0|1
 //                  --serverd PATH
 //
+// --setup-only 1 times one cold set-up of the workload and prints its
+// seconds; a run starts its binary this way to time set-up in fresh
+// processes.
 // --trace 0 reports the end-to-end metrics of the workload. --trace 1
 // runs the same workload with a span around every call into the library,
 // then the fixed-work per-layer pass, and reports the per-layer metrics;
@@ -33,6 +36,8 @@ bool ParseArgs(int argc, char** argv, perfbench::Args* args) {
       args->trace = value == "1";
     } else if (key == "--serverd") {
       args->serverd = value;
+    } else if (key == "--setup-only") {
+      args->setup_only = value == "1";
     } else {
       std::fprintf(stderr, "unknown argument %s\n", key.c_str());
       return false;
@@ -54,13 +59,17 @@ int main(int argc, char** argv) {
   spot::SetLogLevel(spot::LogLevel::kError);
   std::error_code ec;
   std::filesystem::create_directories(perfbench::kOutDir, ec);
+  if (args.setup_only) {
+    const double seconds = perfbench::TimeColdSetUp(args);
+    if (seconds <= 0.0) return 1;
+    std::printf("%.9f\n", seconds);
+    return 0;
+  }
 
   using Runner = perfbench::RunResult (*)(const perfbench::Args&,
                                           perfbench::Tracer*);
   Runner run = nullptr;
   if (args.workload == "detect_learning") run = perfbench::RunDetectLearning;
-  if (args.workload == "probe_sharded") run = perfbench::RunProbeSharded;
-  if (args.workload == "served_feedback") run = perfbench::RunServedFeedback;
   if (args.workload == "session_churn") run = perfbench::RunSessionChurn;
   if (run == nullptr) {
     std::fprintf(stderr, "unknown workload '%s'\n", args.workload.c_str());

@@ -1,10 +1,5 @@
 #include "served.h"
 
-#include <thread>
-
-#include "core/detector.h"
-#include "net/protocol.h"
-
 namespace perfbench {
 
 std::vector<std::uint64_t> IdsOf(const std::vector<spot::TopKEntry>& top) {
@@ -80,33 +75,21 @@ void DriveServed(ServedSessions* served, const std::vector<SessionInputs>& in,
       }
       log->phase.Sample(WallNow() - sent[c]);
       CheckVerdicts(verdicts, batch[c].size(), cfg, &result->checks);
-      WireLog& wire = log->wire[c];
-      wire.verdict_bytes += spot::net::VerdictBytes(verdicts);
-      for (const spot::SpotResult& v : verdicts) {
-        wire.flagged.push_back(v.is_outlier);
-      }
     }
     for (std::size_t c = 0; c < kServedConns && !log->broken; ++c) {
       spot::net::SpotClient& client = served->clients[c];
-      WireLog& wire = log->wire[c];
       const auto top_k = [&](std::uint32_t k) {
         std::vector<spot::TopKEntry> top;
         Tracer::Scope span(tracer, "net.TopK", "net");
         rpc(client.TopK(served->ids[c], k, &top), client, "top-k");
-        wire.topk_bytes.push_back(spot::net::TopKBytes(top));
-        wire.topk.push_back(top);
         return top;
       };
       if (QueryDue(b)) top_k(kQueryK);
       if (FeedbackDue(b) && !log->broken) {
         const std::vector<std::uint64_t> ids = IdsOf(top_k(kFeedbackK));
         Tracer::Scope span(tracer, "net.Feedback", "net");
-        ++wire.feedback_rounds;
-        if (rpc(client.Feedback(served->ids[c], ids,
-                                {batch[c].front().values}),
-                client, "feedback")) {
-          ++wire.feedback_applied;
-        }
+        rpc(client.Feedback(served->ids[c], ids, {batch[c].front().values}),
+            client, "feedback");
       }
     }
     log->phase.Work(kServedConns * kBatch, WallNow() - round_start, 0.0);
@@ -116,96 +99,6 @@ void DriveServed(ServedSessions* served, const std::vector<SessionInputs>& in,
 bool StopServed(ServedSessions* served, double* cpu_s) {
   for (spot::net::SpotClient& client : served->clients) client.Disconnect();
   return served->server.Stop(cpu_s);
-}
-
-namespace {
-
-/// One session's replay on an in-process detector; returns the first
-/// disagreement with the wire, or an empty string.
-std::string ReplaySession(const spot::SpotConfig& cfg, const SessionInputs& in,
-                          std::uint64_t batches, const WireLog& wire,
-                          std::vector<std::uint64_t>* state_samples) {
-  spot::SpotDetector ref(cfg);
-  if (!ref.Learn(in.training)) return "reference Learn failed";
-  std::string verdict_bytes;
-  std::size_t q = 0;
-  const auto same_topk = [&](const std::vector<spot::TopKEntry>& top) {
-    return q < wire.topk_bytes.size() &&
-           spot::net::TopKBytes(top) == wire.topk_bytes[q++];
-  };
-  for (std::uint64_t b = 0; b < batches; ++b) {
-    const std::vector<spot::DataPoint> batch = BatchAt(in, b);
-    verdict_bytes += spot::net::VerdictBytes(ref.ProcessBatch(batch));
-    if ((b + 1) % kStateEvery == 0) {
-      state_samples->push_back(CheckpointBytes(ref));
-    }
-    if (QueryDue(b) && !same_topk(ref.QueryTopK(kQueryK))) {
-      return "top-k answer after batch " + std::to_string(b) +
-             " differs from the in-process detector";
-    }
-    if (FeedbackDue(b)) {
-      const std::vector<spot::TopKEntry> top = ref.QueryTopK(kFeedbackK);
-      if (!same_topk(top)) {
-        return "feedback top-k after batch " + std::to_string(b) +
-               " differs from the in-process detector";
-      }
-      std::string error;
-      if (!ref.ApplyFeedback(IdsOf(top), {batch.front().values}, &error)) {
-        return "in-process feedback failed: " + error;
-      }
-    }
-  }
-  if (verdict_bytes != wire.verdict_bytes) {
-    return "wire verdict bytes differ from the in-process detector";
-  }
-  return "";
-}
-
-}  // namespace
-
-void CheckServed(const spot::SpotConfig& cfg,
-                 const std::vector<SessionInputs>& in, const ServedLog& log,
-                 Checks* checks, double* state_bytes) {
-  std::string errors[kServedConns];
-  std::vector<std::uint64_t> samples[kServedConns];
-  {
-    // One thread per session; the server has exited by now.
-    std::vector<std::thread> threads;
-    for (std::size_t c = 0; c < kServedConns; ++c) {
-      threads.emplace_back([&, c] {
-        errors[c] = ReplaySession(cfg, in[c], log.batches, log.wire[c],
-                                  &samples[c]);
-      });
-    }
-    for (std::thread& t : threads) t.join();
-  }
-  // Both sessions replay the same batch count, so their samples pair up.
-  StateMeter state;
-  for (std::size_t i = 0; i < samples[0].size(); ++i) {
-    std::uint64_t bytes = 0;
-    for (const std::vector<std::uint64_t>& session : samples) {
-      bytes += i < session.size() ? session[i] : 0;
-    }
-    state.Add(bytes);
-  }
-  *state_bytes = state.Mean();
-  for (std::size_t c = 0; c < kServedConns; ++c) {
-    const WireLog& wire = log.wire[c];
-    const std::string session = "session " + std::to_string(c) + ": ";
-    checks->Expect(errors[c].empty(), session + errors[c]);
-    checks->Expect(wire.feedback_applied == wire.feedback_rounds,
-                   session + "not every feedback round applied");
-    for (const std::vector<spot::TopKEntry>& top : wire.topk) {
-      for (std::size_t i = 0; i < top.size(); ++i) {
-        checks->Expect(
-            i == 0 || top[i - 1].decayed_score >= top[i].decayed_score,
-            session + "top-k answer not sorted by decayed score");
-        checks->Expect(top[i].point_id < wire.flagged.size() &&
-                           wire.flagged[top[i].point_id],
-                       session + "top-k id was not flagged as an outlier");
-      }
-    }
-  }
 }
 
 }  // namespace perfbench

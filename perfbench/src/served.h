@@ -1,8 +1,8 @@
 #ifndef PERFBENCH_SERVED_H_
 #define PERFBENCH_SERVED_H_
 
-// The served sessions shared by the served_feedback workload and the net
-// step of the per-layer pass: a spot_serverd child (2 reactors,
+// The served sessions of the net step of the per-layer pass: a
+// spot_serverd child (2 reactors,
 // round-robin accept) serving two sessions over two loopback connections,
 // driven closed-loop by one client thread on spot_loadgen's
 // feedback-heavy schedule.
@@ -41,21 +41,10 @@ struct ServedSessions {
   std::string ids[kServedConns] = {"bench-0", "bench-1"};
 };
 
-/// What one connection saw on the wire, kept for the checks.
-struct WireLog {
-  std::string verdict_bytes;
-  std::vector<bool> flagged;  // is_outlier by point id
-  std::vector<std::string> topk_bytes;  // every top-k answer, in order
-  std::vector<std::vector<spot::TopKEntry>> topk;
-  std::uint64_t feedback_rounds = 0;
-  std::uint64_t feedback_applied = 0;
-};
-
 struct ServedLog {
   /// One latency sample per connection per batch (Ingest sent to Flush
   /// answered); busy time is the wall time of whole rounds.
   Phase phase;
-  WireLog wire[kServedConns];
   std::uint64_t batches = 0;  // per connection
   bool broken = false;        // an RPC failed; the run stopped there
 };
@@ -75,16 +64,6 @@ void DriveServed(ServedSessions* served, const std::vector<SessionInputs>& in,
 
 /// Disconnects and stops the server; `cpu_s` receives its rusage time.
 bool StopServed(ServedSessions* served, double* cpu_s);
-
-/// Replays each session's batches and schedule on an in-process detector
-/// and checks the wire's verdict and top-k bytes against it, that every
-/// feedback round applied, and that each top-k answer is sorted by decayed
-/// score and names only points the verdict stream flagged. `state_bytes`
-/// receives the mean over the replay of both detectors' summed checkpoint
-/// bytes, sampled every kStateEvery batches.
-void CheckServed(const spot::SpotConfig& cfg,
-                 const std::vector<SessionInputs>& in, const ServedLog& log,
-                 Checks* checks, double* state_bytes);
 
 }  // namespace perfbench
 

@@ -1,6 +1,7 @@
 #include "support.h"
 
 #include <poll.h>
+#include <sched.h>
 #include <signal.h>
 #include <sys/resource.h>
 #include <sys/wait.h>
@@ -126,6 +127,33 @@ double Quantile(std::vector<double> samples, double q) {
   return samples[std::min(idx, samples.size() - 1)];
 }
 
+// ---------------------------------------------------------------- CPUs --
+
+const std::vector<int>& AllowedCpus() {
+  static const std::vector<int> cpus = [] {
+    std::vector<int> out;
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (::sched_getaffinity(0, sizeof(set), &set) == 0) {
+      for (int c = 0; c < CPU_SETSIZE; ++c) {
+        if (CPU_ISSET(c, &set)) out.push_back(c);
+      }
+    }
+    if (out.empty()) out.push_back(0);
+    return out;
+  }();
+  return cpus;
+}
+
+namespace {
+void PinTo(const std::vector<int>& cpus) {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  for (int c : cpus) CPU_SET(c, &set);
+  ::sched_setaffinity(0, sizeof(set), &set);
+}
+}  // namespace
+
 // ------------------------------------------------------- output checks --
 
 void Checks::Expect(bool ok, const std::string& what) {
@@ -176,39 +204,76 @@ double SolveAlpha(std::uint64_t omega, double epsilon) {
   return static_cast<double>((lo + hi) / 2);
 }
 
-double RocAuc(const std::vector<double>& scores,
-              const std::vector<bool>& labels) {
-  std::vector<std::size_t> order(scores.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&scores](std::size_t a,
-                                                  std::size_t b) {
-    return scores[a] < scores[b];
-  });
-  double pos = 0.0;
-  double neg = 0.0;
-  double rank_sum = 0.0;  // sum of positive ranks, ties averaged
-  for (std::size_t i = 0; i < order.size();) {
-    std::size_t j = i;
-    while (j < order.size() && scores[order[j]] == scores[order[i]]) ++j;
-    const double avg_rank = 0.5 * static_cast<double>(i + 1 + j);
-    for (std::size_t k = i; k < j; ++k) {
-      if (labels[order[k]]) {
-        pos += 1.0;
-        rank_sum += avg_rank;
-      } else {
-        neg += 1.0;
-      }
-    }
-    i = j;
-  }
-  if (pos == 0.0 || neg == 0.0) return 0.5;
-  return (rank_sum - pos * (pos + 1.0) / 2.0) / (pos * neg);
-}
-
 std::uint64_t CheckpointBytes(const spot::SpotDetector& detector) {
   std::ostringstream out;
   if (!spot::SaveCheckpoint(detector, out)) return 0;
   return out.str().size();
+}
+
+// --------------------------------------------------------- cold set-up --
+
+namespace {
+
+/// Runs this binary with `argv` pinned to `cpu`; returns its stdout, or an
+/// empty string when it did not exit cleanly.
+std::string RunPinned(const std::vector<std::string>& argv, int cpu) {
+  int fds[2];
+  if (::pipe(fds) != 0) return "";
+  std::vector<char*> raw;
+  for (const std::string& a : argv) raw.push_back(const_cast<char*>(a.c_str()));
+  raw.push_back(nullptr);
+  const pid_t pid = ::fork();
+  if (pid < 0) {
+    ::close(fds[0]);
+    ::close(fds[1]);
+    return "";
+  }
+  if (pid == 0) {
+    PinTo({cpu});
+    ::dup2(fds[1], STDOUT_FILENO);
+    ::close(fds[0]);
+    ::close(fds[1]);
+    ::execv("/proc/self/exe", raw.data());
+    std::_Exit(127);
+  }
+  ::close(fds[1]);
+  std::string out;
+  char buf[256];
+  ssize_t n = 0;
+  while ((n = ::read(fds[0], buf, sizeof(buf))) > 0) {
+    out.append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(fds[0]);
+  int status = 0;
+  ::waitpid(pid, &status, 0);
+  return WIFEXITED(status) && WEXITSTATUS(status) == 0 ? out : "";
+}
+
+}  // namespace
+
+double FastestColdSetUp(const Args& args, Checks* checks) {
+  const std::vector<int>& cpus = AllowedCpus();
+  char seconds[32];
+  std::snprintf(seconds, sizeof(seconds), "%g", args.seconds);
+  const std::vector<std::string> argv = {
+      "spot_perfbench", "--workload", args.workload,
+      "--seed",         std::to_string(args.seed),
+      "--seconds",      seconds,
+      "--setup-only",   "1"};
+  double fastest = 0.0;
+  std::string seen;
+  for (int k = 0; k < kSetupProbes; ++k) {
+    const int cpu = cpus[static_cast<std::size_t>(k) % cpus.size()];
+    const double probe = std::atof(RunPinned(argv, cpu).c_str());
+    checks->Expect(probe > 0.0, "cold set-up probe on CPU " +
+                                    std::to_string(cpu) + " failed");
+    if (probe > 0.0 && (fastest == 0.0 || probe < fastest)) fastest = probe;
+    char item[48];
+    std::snprintf(item, sizeof(item), " %d:%.4f", cpu, probe);
+    seen += item;
+  }
+  std::fprintf(stderr, "cold set-up (s), cpu:seconds%s\n", seen.c_str());
+  return fastest;
 }
 
 // -------------------------------------------------------------- result --

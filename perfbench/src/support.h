@@ -27,6 +27,8 @@ struct Args {
   double seconds = 10.0;
   bool trace = false;
   std::string serverd;  // path of the spot_serverd binary
+  /// Time one cold set-up of the workload and print it; nothing else runs.
+  bool setup_only = false;
 };
 
 /// Where runs write (trace files, checkpoint directories), relative to the
@@ -88,6 +90,11 @@ bool LabelAt(const SessionInputs& in, std::uint64_t i);
 double WallNow();        // steady clock, seconds
 double ProcessCpuNow();  // CLOCK_PROCESS_CPUTIME_ID, seconds
 double ThreadCpuNow();   // CLOCK_THREAD_CPUTIME_ID, seconds
+
+// ---------------------------------------------------------------- CPUs --
+
+/// The CPUs this process may run on, as read on the first call.
+const std::vector<int>& AllowedCpus();
 
 // ----------------------------------------------------- phase recording --
 
@@ -183,10 +190,6 @@ void CheckVerdicts(const std::vector<spot::SpotResult>& verdicts,
 /// library: alpha^omega / (1 - alpha) = epsilon by bisection.
 double SolveAlpha(std::uint64_t omega, double epsilon);
 
-/// ROC AUC of `scores` against `labels` (Mann-Whitney, ties averaged).
-double RocAuc(const std::vector<double>& scores,
-              const std::vector<bool>& labels);
-
 /// Bytes of a full-state checkpoint of `detector`.
 std::uint64_t CheckpointBytes(const spot::SpotDetector& detector);
 
@@ -207,6 +210,20 @@ struct StateMeter {
   }
   double Mean() const { return samples > 0 ? sum / static_cast<double>(samples) : 0.0; }
 };
+
+// --------------------------------------------------------- cold set-up --
+
+/// Fresh processes that each time one cold set-up of the workload.
+constexpr int kSetupProbes = 8;
+
+/// setup_s of a run: the fastest of kSetupProbes cold set-ups, each the
+/// first set-up of a fresh process of this binary (--setup-only) pinned
+/// in turn to one of AllowedCpus(). The vCPUs of a shared machine run at
+/// different speeds, and a slow stretch moves from one to another, so one
+/// set-up reads the speed of whichever CPU it landed on; the fastest of a
+/// sweep over every CPU reads the set-up's own cost. A probe that fails
+/// is a failed check.
+double FastestColdSetUp(const Args& args, Checks* checks);
 
 // -------------------------------------------------------------- result --
 
@@ -230,7 +247,7 @@ struct RunResult {
 };
 
 /// The six end-to-end metrics of a measured phase; `cpu_us_per_pt` is the
-/// caller's (the phase's own window median, or the server child's).
+/// caller's (the phase's 10th-percentile window CPU cost).
 void SetEndToEnd(const Phase& phase, double setup_s, double state_bytes,
                  double cpu_us_per_pt, Metrics* metrics);
 
@@ -309,9 +326,12 @@ class ServerChild {
 // Each runs one workload for args.seconds. With a tracer, every call into
 // the system under test is also recorded as a span.
 RunResult RunDetectLearning(const Args& args, Tracer* tracer);
-RunResult RunProbeSharded(const Args& args, Tracer* tracer);
-RunResult RunServedFeedback(const Args& args, Tracer* tracer);
 RunResult RunSessionChurn(const Args& args, Tracer* tracer);
+
+/// Seconds of one cold set-up of args.workload in this process, from
+/// constructing the system under test until it is ready for its first
+/// point; negative when the set-up fails.
+double TimeColdSetUp(const Args& args);
 
 /// The traced per-layer pass (fixed work, seeded like the workloads).
 void RunLayerLadder(const Args& args, Tracer* tracer, RunResult* result);

@@ -1,5 +1,6 @@
-// The four measured workloads. Each builds its seeded inputs first, times
-// one cold set-up of the system under test, drives it for the run length,
+// The measured workloads. Each builds its seeded inputs first, sets up
+// the system under test (set-up is timed in fresh processes, see
+// FastestColdSetUp), drives it for the run length,
 // and then checks its outputs against a computation made apart from the
 // program or against a property the method must have.
 
@@ -10,14 +11,12 @@
 #include <filesystem>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/detector.h"
+#include "eval/metrics.h"
 #include "net/protocol.h"
-#include "net/spot_client.h"
 #include "service/spot_service.h"
-#include "served.h"
 #include "support.h"
 
 namespace perfbench {
@@ -35,22 +34,32 @@ constexpr double kWindows = 60.0;
 
 // ---------------------------------------------------- detect_learning --
 
+namespace {
+
+/// detect_learning's set-up: the detector, constructed and learned
+/// (nullptr when Learn fails).
+std::unique_ptr<spot::SpotDetector> SetUpDetector(const SessionInputs& in,
+                                                  Tracer* tracer) {
+  auto detector = std::make_unique<spot::SpotDetector>(SteadyLearningConfig());
+  Tracer::Scope span(tracer, "core.Learn", "core");
+  if (!detector->Learn(in.training)) return nullptr;
+  return detector;
+}
+
+}  // namespace
+
 RunResult RunDetectLearning(const Args& args, Tracer* tracer) {
   RunResult r;
   const spot::SpotConfig cfg = SteadyLearningConfig();
   const SessionInputs in =
       MakeSession(args.seed, 0, kServedDims, kStreamPoints);
 
-  const double setup_start = WallNow();
-  spot::SpotDetector detector(cfg);
-  bool learned = false;
-  {
-    Tracer::Scope span(tracer, "core.Learn", "core");
-    learned = detector.Learn(in.training);
-  }
-  const double setup_s = WallNow() - setup_start;
-  r.checks.Expect(learned, "Learn failed");
-  if (!learned) return r;
+  const std::unique_ptr<spot::SpotDetector> owned = SetUpDetector(in, tracer);
+  r.checks.Expect(owned != nullptr, "Learn failed");
+  if (owned == nullptr) return r;
+  spot::SpotDetector& detector = *owned;
+  const double setup_s = tracer == nullptr ? FastestColdSetUp(args, &r.checks)
+                                           : 0.0;
 
   Phase phase;
   phase.window_s = args.seconds / kWindows;
@@ -68,8 +77,8 @@ RunResult RunDetectLearning(const Args& args, Tracer* tracer) {
       verdicts = detector.ProcessBatch(batch);
     }
     const double wall = WallNow() - w0;
-    phase.Work(batch.size(), wall, ProcessCpuNow() - c0);
     phase.Sample(wall);
+    phase.Work(batch.size(), wall, ProcessCpuNow() - c0);
     ++r.attempted;
     CheckVerdicts(verdicts, batch.size(), cfg, &r.checks);
     for (std::size_t j = 0; j < verdicts.size() && j < batch.size(); ++j) {
@@ -91,7 +100,7 @@ RunResult RunDetectLearning(const Args& args, Tracer* tracer) {
       "TotalWeight " + std::to_string(weight) + " != geometric sum " +
           std::to_string(expected_weight));
 
-  const double auc = RocAuc(scores, labels);
+  const double auc = spot::eval::RocAuc(scores, labels);
   r.checks.Expect(auc >= kDetectAucFloor,
                   "ROC AUC " + std::to_string(auc) + " under the floor");
   std::fprintf(stderr, "detect_learning: %llu points, AUC %.4f, %llu "
@@ -102,122 +111,6 @@ RunResult RunDetectLearning(const Args& args, Tracer* tracer) {
                detector.TrackedSubspaces());
 
   SetEndToEnd(phase, setup_s, state.Mean(), phase.CpuMicrosPerPoint(),
-              &r.metrics);
-  return r;
-}
-
-// ------------------------------------------------------ probe_sharded --
-
-RunResult RunProbeSharded(const Args& args, Tracer* tracer) {
-  RunResult r;
-  spot::SpotConfig cfg = NoLearningConfig();
-  cfg.num_shards = 4;
-  const SessionInputs in =
-      MakeSession(args.seed, 0, kProbeDims, kStreamPoints);
-
-  const double setup_start = WallNow();
-  spot::SpotDetector detector(cfg);
-  bool learned = false;
-  {
-    Tracer::Scope span(tracer, "core.Learn", "core");
-    learned = detector.Learn(in.training);
-  }
-  const double setup_s = WallNow() - setup_start;
-  r.checks.Expect(learned, "Learn failed");
-  if (!learned) return r;
-
-  Phase phase;
-  phase.window_s = args.seconds / kWindows;
-  StateMeter state;
-  std::string sharded_bytes;
-  std::uint64_t batches = 0;
-  const double start = WallNow();
-  for (; KeepGoing(start, args, phase); ++batches) {
-    const std::vector<spot::DataPoint> batch = BatchAt(in, batches);
-    std::vector<spot::SpotResult> verdicts;
-    const double c0 = ProcessCpuNow();
-    const double w0 = WallNow();
-    {
-      Tracer::Scope span(tracer, "engine.ProcessBatch", "engine");
-      verdicts = detector.ProcessBatch(batch);
-    }
-    const double wall = WallNow() - w0;
-    phase.Work(batch.size(), wall, ProcessCpuNow() - c0);
-    phase.Sample(wall);
-    ++r.attempted;
-    CheckVerdicts(verdicts, batch.size(), cfg, &r.checks);
-    sharded_bytes += spot::net::VerdictBytes(verdicts);
-    if ((batches + 1) % kStateEvery == 0) state.Add(CheckpointBytes(detector));
-  }
-
-  // Sharding is a throughput knob: a sequential run of the same stream
-  // must produce the same verdict bytes.
-  spot::SpotConfig seq_cfg = cfg;
-  seq_cfg.num_shards = 1;
-  spot::SpotDetector sequential(seq_cfg);
-  sequential.Learn(in.training);
-  std::string sequential_bytes;
-  for (std::uint64_t b = 0; b < batches; ++b) {
-    sequential_bytes +=
-        spot::net::VerdictBytes(sequential.ProcessBatch(BatchAt(in, b)));
-  }
-  r.checks.Expect(sharded_bytes == sequential_bytes,
-                  "verdict bytes at shards=4 differ from shards=1");
-  std::fprintf(stderr, "probe_sharded: %llu points, %zu subspaces tracked\n",
-               static_cast<unsigned long long>(phase.points),
-               detector.TrackedSubspaces());
-
-  SetEndToEnd(phase, setup_s, state.Mean(), phase.CpuMicrosPerPoint(),
-              &r.metrics);
-  return r;
-}
-
-// ---------------------------------------------------- served_feedback --
-
-RunResult RunServedFeedback(const Args& args, Tracer* tracer) {
-  RunResult r;
-  const spot::SpotConfig cfg = SteadyLearningConfig();
-  std::vector<SessionInputs> in;
-  for (std::size_t c = 0; c < kServedConns; ++c) {
-    in.push_back(MakeSession(args.seed, c, kServedDims, kStreamPoints));
-  }
-
-  const double setup_start = WallNow();
-  ServedSessions served;
-  std::string error;
-  if (!StartServed(args, cfg, in, tracer, &served, &error)) {
-    r.checks.Expect(false, error);
-    return r;
-  }
-  const double setup_s = WallNow() - setup_start;
-
-  ServedLog log;
-  log.phase.window_s = args.seconds / kWindows;
-  const double server_cpu0 = served.server.CpuSoFar();
-  const double start = WallNow();
-  DriveServed(&served, in, cfg,
-              [&](const ServedLog& l) { return KeepGoing(start, args, l.phase); },
-              tracer, &r, &log);
-  double server_cpu_total = 0.0;
-  r.checks.Expect(StopServed(&served, &server_cpu_total),
-                  "spot_serverd did not exit cleanly");
-  // rusage is exact to the microsecond; the /proc mark (clock ticks) takes
-  // the set-up's CPU out of it. Shutdown after the last flush costs the
-  // server almost nothing.
-  const double server_cpu = server_cpu_total - server_cpu0;
-  if (log.broken) return r;
-
-  double state_bytes = 0.0;
-  CheckServed(cfg, in, log, &r.checks, &state_bytes);
-  std::fprintf(stderr, "served_feedback: %llu points, %llu+%llu feedback "
-               "rounds, server %.3f CPU-s\n",
-               static_cast<unsigned long long>(log.phase.points),
-               static_cast<unsigned long long>(log.wire[0].feedback_rounds),
-               static_cast<unsigned long long>(log.wire[1].feedback_rounds),
-               server_cpu);
-
-  SetEndToEnd(log.phase, setup_s, state_bytes,
-              1e6 * server_cpu / static_cast<double>(log.phase.points),
               &r.metrics);
   return r;
 }
@@ -233,6 +126,33 @@ constexpr std::uint64_t kChurnStateEvery = 10;
 
 std::string ChurnId(std::size_t s) { return "churn-" + std::to_string(s); }
 
+/// The checkpoint directory of this process's service.
+std::string ChurnDir() {
+  return std::string(kOutDir) + "/churn-" + std::to_string(::getpid());
+}
+
+/// session_churn's set-up: a fresh checkpoint directory and the service
+/// with every session created (nullptr when a CreateSession fails).
+std::unique_ptr<spot::SpotService> SetUpChurn(
+    const std::vector<SessionInputs>& in, const std::string& dir,
+    Tracer* tracer) {
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+  std::filesystem::create_directories(dir, ec);
+  spot::SpotServiceConfig scfg;
+  scfg.max_resident = kChurnResident;
+  scfg.checkpoint_dir = dir;
+  auto service = std::make_unique<spot::SpotService>(scfg);
+  for (std::size_t s = 0; s < kChurnSessions; ++s) {
+    Tracer::Scope span(tracer, "service.CreateSession", "service");
+    if (!service->CreateSession(ChurnId(s), NoLearningConfig(),
+                                in[s].training)) {
+      return nullptr;
+    }
+  }
+  return service;
+}
+
 }  // namespace
 
 RunResult RunSessionChurn(const Args& args, Tracer* tracer) {
@@ -242,26 +162,16 @@ RunResult RunSessionChurn(const Args& args, Tracer* tracer) {
   for (std::size_t s = 0; s < kChurnSessions; ++s) {
     in.push_back(MakeSession(args.seed, s, kServedDims, kStreamPoints));
   }
-  const std::string dir =
-      std::string(kOutDir) + "/churn-" + std::to_string(::getpid());
+  const std::string dir = ChurnDir();
+  std::unique_ptr<spot::SpotService> service = SetUpChurn(in, dir, tracer);
+  r.checks.Expect(service != nullptr, "CreateSession failed");
   std::error_code ec;
-  std::filesystem::remove_all(dir, ec);
-  std::filesystem::create_directories(dir, ec);
-
-  const double setup_start = WallNow();
-  spot::SpotServiceConfig scfg;
-  scfg.max_resident = kChurnResident;
-  scfg.checkpoint_dir = dir;
-  auto service = std::make_unique<spot::SpotService>(scfg);
-  for (std::size_t s = 0; s < kChurnSessions; ++s) {
-    Tracer::Scope span(tracer, "service.CreateSession", "service");
-    if (!service->CreateSession(ChurnId(s), cfg, in[s].training)) {
-      r.checks.Expect(false, "CreateSession " + ChurnId(s) + " failed");
-      std::filesystem::remove_all(dir, ec);
-      return r;
-    }
+  if (service == nullptr) {
+    std::filesystem::remove_all(dir, ec);
+    return r;
   }
-  const double setup_s = WallNow() - setup_start;
+  const double setup_s = tracer == nullptr ? FastestColdSetUp(args, &r.checks)
+                                           : 0.0;
 
   Phase phase;
   phase.window_s = args.seconds / kWindows;
@@ -279,8 +189,8 @@ RunResult RunSessionChurn(const Args& args, Tracer* tracer) {
         res = service->Ingest(ChurnId(s), batch);
       }
       const double wall = WallNow() - w0;
-      phase.Work(batch.size(), wall, ProcessCpuNow() - c0);
       phase.Sample(wall);
+      phase.Work(batch.size(), wall, ProcessCpuNow() - c0);
       ++r.attempted;
       if (!res.ok) {
         ++r.failed;
@@ -330,6 +240,35 @@ RunResult RunSessionChurn(const Args& args, Tracer* tracer) {
   SetEndToEnd(phase, setup_s, state.Mean(), phase.CpuMicrosPerPoint(),
               &r.metrics);
   return r;
+}
+
+// ----------------------------------------------------- cold set-up --
+
+double TimeColdSetUp(const Args& args) {
+  if (args.workload == "detect_learning") {
+    const SessionInputs in = MakeSession(args.seed, 0, kServedDims, 0);
+    const double start = WallNow();
+    const std::unique_ptr<spot::SpotDetector> detector =
+        SetUpDetector(in, nullptr);
+    const double seconds = WallNow() - start;
+    return detector != nullptr ? seconds : -1.0;
+  }
+  if (args.workload == "session_churn") {
+    std::vector<SessionInputs> in;
+    for (std::size_t s = 0; s < kChurnSessions; ++s) {
+      in.push_back(MakeSession(args.seed, s, kServedDims, 0));
+    }
+    const std::string dir = ChurnDir();
+    const double start = WallNow();
+    std::unique_ptr<spot::SpotService> service = SetUpChurn(in, dir, nullptr);
+    const double seconds = WallNow() - start;
+    const bool ok = service != nullptr;
+    service.reset();
+    std::error_code ec;
+    std::filesystem::remove_all(dir, ec);
+    return ok ? seconds : -1.0;
+  }
+  return -1.0;
 }
 
 }  // namespace perfbench
