@@ -127,33 +127,6 @@ double Quantile(std::vector<double> samples, double q) {
   return samples[std::min(idx, samples.size() - 1)];
 }
 
-// ---------------------------------------------------------------- CPUs --
-
-const std::vector<int>& AllowedCpus() {
-  static const std::vector<int> cpus = [] {
-    std::vector<int> out;
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    if (::sched_getaffinity(0, sizeof(set), &set) == 0) {
-      for (int c = 0; c < CPU_SETSIZE; ++c) {
-        if (CPU_ISSET(c, &set)) out.push_back(c);
-      }
-    }
-    if (out.empty()) out.push_back(0);
-    return out;
-  }();
-  return cpus;
-}
-
-namespace {
-void PinTo(const std::vector<int>& cpus) {
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  for (int c : cpus) CPU_SET(c, &set);
-  ::sched_setaffinity(0, sizeof(set), &set);
-}
-}  // namespace
-
 // ------------------------------------------------------- output checks --
 
 void Checks::Expect(bool ok, const std::string& what) {
@@ -214,6 +187,20 @@ std::uint64_t CheckpointBytes(const spot::SpotDetector& detector) {
 
 namespace {
 
+/// The CPUs this process may run on.
+std::vector<int> AllowedCpus() {
+  std::vector<int> cpus;
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (::sched_getaffinity(0, sizeof(set), &set) == 0) {
+    for (int c = 0; c < CPU_SETSIZE; ++c) {
+      if (CPU_ISSET(c, &set)) cpus.push_back(c);
+    }
+  }
+  if (cpus.empty()) cpus.push_back(0);
+  return cpus;
+}
+
 /// Runs this binary with `argv` pinned to `cpu`; returns its stdout, or an
 /// empty string when it did not exit cleanly.
 std::string RunPinned(const std::vector<std::string>& argv, int cpu) {
@@ -229,7 +216,10 @@ std::string RunPinned(const std::vector<std::string>& argv, int cpu) {
     return "";
   }
   if (pid == 0) {
-    PinTo({cpu});
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    CPU_SET(cpu, &set);
+    ::sched_setaffinity(0, sizeof(set), &set);
     ::dup2(fds[1], STDOUT_FILENO);
     ::close(fds[0]);
     ::close(fds[1]);
@@ -252,7 +242,7 @@ std::string RunPinned(const std::vector<std::string>& argv, int cpu) {
 }  // namespace
 
 double FastestColdSetUp(const Args& args, Checks* checks) {
-  const std::vector<int>& cpus = AllowedCpus();
+  const std::vector<int> cpus = AllowedCpus();
   char seconds[32];
   std::snprintf(seconds, sizeof(seconds), "%g", args.seconds);
   const std::vector<std::string> argv = {

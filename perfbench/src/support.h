@@ -91,11 +91,6 @@ double WallNow();        // steady clock, seconds
 double ProcessCpuNow();  // CLOCK_PROCESS_CPUTIME_ID, seconds
 double ThreadCpuNow();   // CLOCK_THREAD_CPUTIME_ID, seconds
 
-// ---------------------------------------------------------------- CPUs --
-
-/// The CPUs this process may run on, as read on the first call.
-const std::vector<int>& AllowedCpus();
-
 // ----------------------------------------------------- phase recording --
 
 /// What a measured phase collects: the points scored, the wall time the
@@ -218,7 +213,7 @@ constexpr int kSetupProbes = 8;
 
 /// setup_s of a run: the fastest of kSetupProbes cold set-ups, each the
 /// first set-up of a fresh process of this binary (--setup-only) pinned
-/// in turn to one of AllowedCpus(). The vCPUs of a shared machine run at
+/// in turn to one of the CPUs this process may run on. The vCPUs of a shared machine run at
 /// different speeds, and a slow stretch moves from one to another, so one
 /// set-up reads the speed of whichever CPU it landed on; the fastest of a
 /// sweep over every CPU reads the set-up's own cost. A probe that fails
