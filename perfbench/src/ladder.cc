@@ -320,12 +320,16 @@ void ServiceStep(const Args& args, const SessionInputs& in, double bare_s,
                             sessions.back().training);
     }
     const spot::ServiceMetrics before = service.TotalMetrics();
-    {
-      Tracer::Scope span(tracer, "service.stream_churn", "service");
-      for (std::uint64_t t = 0; t < kChurnTurns; ++t) {
-        for (std::size_t s = 0; s < kChurnSessions; ++s) {
-          service.Ingest("s" + std::to_string(s), BatchAt(sessions[s], t));
+    for (std::uint64_t t = 0; t < kChurnTurns; ++t) {
+      for (std::size_t s = 0; s < kChurnSessions; ++s) {
+        const std::string id = "s" + std::to_string(s);
+        {
+          Tracer::Scope span(tracer, "service.churn_Ingest", "service");
+          service.Ingest(id, BatchAt(sessions[s], t));
         }
+        // As in session_churn: the resident session's checkpoint is stale,
+        // and removing it keeps the next eviction off the disk.
+        std::filesystem::remove(dir + "/" + id + ".ckpt", ec);
       }
     }
     const spot::ServiceMetrics after = service.TotalMetrics();
